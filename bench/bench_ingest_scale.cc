@@ -32,11 +32,13 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bayes/repository.h"
 #include "bayes/sampler.h"
 #include "common/metrics.h"
+#include "common/mutex.h"
 #include "common/table.h"
 #include "common/timer.h"
 #include "common/tracing.h"
@@ -64,6 +66,43 @@ constexpr bool kSanitizedBuild = false;
 constexpr bool kSanitizedBuild = false;
 #endif
 
+// Tells the poller and shipper threads that the producers are done. Their
+// sleep between rounds wakes on Stop(): a plain sleep_for would hold the
+// join() before Finish -- and with it the timed region -- for up to one
+// full poll period after the last Push, which is most of the measured
+// "poller cost" on a run of a few tens of milliseconds.
+class StopSignal {
+ public:
+  void Stop() {
+    {
+      MutexLock lock(&mutex_);
+      stopped_ = true;
+    }
+    stopped_cv_.NotifyAll();
+  }
+
+  bool Stopped() {
+    MutexLock lock(&mutex_);
+    return stopped_;
+  }
+
+  /// Sleeps for `period` or until Stop(), whichever comes first.
+  void SleepFor(std::chrono::microseconds period) {
+    const auto deadline = std::chrono::steady_clock::now() + period;
+    MutexLock lock(&mutex_);
+    while (!stopped_) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= deadline) return;
+      stopped_cv_.WaitFor(&lock, deadline - now);
+    }
+  }
+
+ private:
+  Mutex mutex_;
+  CondVar stopped_cv_;
+  bool stopped_ DSGM_GUARDED_BY(mutex_) = false;
+};
+
 struct IngestRun {
   int producers = 0;
   int poller_hz = 0;
@@ -90,18 +129,18 @@ StatusOr<IngestRun> RunOnce(const BayesianNetwork& net,
   if (!built.ok()) return built.status();
   Session& session = **built;
 
-  std::atomic<bool> done{false};
+  StopSignal done;
   std::atomic<int64_t> snapshots{0};
   std::thread poller;
   if (poller_hz > 0) {
     const auto period =
         std::chrono::microseconds(1000000 / poller_hz);
     poller = std::thread([&session, &done, &snapshots, period] {
-      while (!done.load(std::memory_order_acquire)) {
+      while (!done.Stopped()) {
         if (session.Snapshot().ok()) {
           snapshots.fetch_add(1, std::memory_order_relaxed);
         }
-        std::this_thread::sleep_for(period);
+        done.SleepFor(period);
       }
     });
   }
@@ -142,11 +181,11 @@ StatusOr<IngestRun> RunOnce(const BayesianNetwork& net,
           shipped_chunks.fetch_add(1, std::memory_order_relaxed);
         }
         if (final_pass) break;
-        if (done.load(std::memory_order_acquire)) {
+        if (done.Stopped()) {
           final_pass = true;  // one last drain after the producers stop
           continue;
         }
-        std::this_thread::sleep_for(period);
+        done.SleepFor(period);
       }
     });
   }
@@ -174,7 +213,7 @@ StatusOr<IngestRun> RunOnce(const BayesianNetwork& net,
   // Stop the poller before Finish: Snapshot is cross-thread-safe against
   // ingest, but Finish's final-model publication is not a concurrent query
   // target (see the Session::Finish contract).
-  done.store(true, std::memory_order_release);
+  done.Stop();
   if (poller.joinable()) poller.join();
   if (shipper.joinable()) shipper.join();
   StatusOr<RunReport> report = session.Finish();
@@ -268,23 +307,34 @@ int Main(int argc, char** argv) {
   table.SetHeader({"producers", "poller Hz", "events/s", "vs 1 thread",
                    "snapshots"});
   Json records = Json::Array();
-  // best_by[{producers, poller}] keyed positionally.
-  std::vector<IngestRun> best;
+  // The sweep's configs in order; best[i] is the fastest run of configs[i].
+  // Repeats are the outer loop, so every config runs once per round: a slow
+  // stretch of a shared machine then lands on all configs alike instead of
+  // on whichever config ran all its repeats during it (the gates below
+  // compare configs). Odd rounds run the sweep backwards, because a run
+  // reads slower right after another one: in forward order alone, each
+  // 100 Hz config always followed its quiet twin and read a few percent
+  // under it even with the poller doing nothing.
+  std::vector<std::pair<int, int>> configs;
   for (const int producers : producer_counts) {
     for (const int poller_hz : poller_rates) {
-      IngestRun best_run;
-      for (int r = 0; r < repeats; ++r) {
-        StatusOr<IngestRun> run =
-            RunOnce(*net, events, sites, producers, poller_hz, eps,
-                    seed + static_cast<uint64_t>(r), batch);
-        if (!run.ok()) {
-          std::cerr << "producers=" << producers << " poller=" << poller_hz
-                    << ": " << run.status() << "\n";
-          return 1;
-        }
-        if (run->events_per_sec > best_run.events_per_sec) best_run = *run;
+      configs.emplace_back(producers, poller_hz);
+    }
+  }
+  std::vector<IngestRun> best(configs.size());
+  for (int r = 0; r < repeats; ++r) {
+    for (size_t i = 0; i < configs.size(); ++i) {
+      const size_t c = r % 2 == 0 ? i : configs.size() - 1 - i;
+      const auto [producers, poller_hz] = configs[c];
+      StatusOr<IngestRun> run =
+          RunOnce(*net, events, sites, producers, poller_hz, eps,
+                  seed + static_cast<uint64_t>(r), batch);
+      if (!run.ok()) {
+        std::cerr << "producers=" << producers << " poller=" << poller_hz
+                  << ": " << run.status() << "\n";
+        return 1;
       }
-      best.push_back(best_run);
+      if (run->events_per_sec > best[c].events_per_sec) best[c] = *run;
     }
   }
 

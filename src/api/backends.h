@@ -103,9 +103,16 @@ class ClusterSessionBase : public Session {
   /// Consistent model snapshot from the (possibly live) coordinator.
   ModelView ViewFromCoordinator(int64_t events_observed) const;
 
+  /// Exact mode: no rounds, so sites may coalesce the reports of a whole
+  /// EventBatch into one bundle (cluster/site_node.h).
+  bool exact_mode() const { return epsilons_.empty(); }
+
   const SessionOptions options_;
   const int num_sites_;
   std::shared_ptr<const CounterLayout> layout_;
+  /// Per-counter epsilons in the counter layout (LayoutEpsilons); empty in
+  /// exact mode.
+  const std::vector<float> epsilons_;
   /// Per-site liveness/progress table behind Metrics() and the dump lines;
   /// lock-free (common/metrics.h contract). Mutable: refreshing stats into
   /// it from the const Metrics() path mutates no logical session state.

@@ -589,6 +589,18 @@ StatusOr<std::unique_ptr<Session>> SessionBuilder::Build() const {
   if (options_.batch_size <= 0) {
     return InvalidArgumentError("session: batch_size must be positive");
   }
+  if (options_.backend != Backend::kInProcess &&
+      options_.tracker.strategy != TrackingStrategy::kExactMle &&
+      (options_.tracker.counter_type != CounterType::kRandomized ||
+       options_.tracker.replicas > 1)) {
+    // The cluster sites and coordinator implement one randomized counter
+    // instance; running them for a config asking for deterministic
+    // counters or replicas would silently run a different algorithm. (An
+    // exact run reads neither setting on any backend.)
+    return InvalidArgumentError(
+        "session: counter_type kDeterministic and replicas > 1 are "
+        "implemented only by Backend::kInProcess");
+  }
   if (options_.transport && options_.backend != Backend::kThreads) {
     return InvalidArgumentError(
         "session: WithTransport applies only to Backend::kThreads");

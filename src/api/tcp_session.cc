@@ -113,6 +113,7 @@ class LocalTcpSession final : public ClusterSessionBase {
         site_config.seed = seeds_.site_seeds[static_cast<size_t>(s)];
         site_config.connect_timeout_ms = options_.site_connect_timeout_ms;
         site_config.heartbeat_interval_ms = options_.heartbeat_interval_ms;
+        site_config.exact_mode = exact_mode();
         site_threads_.emplace_back([this, s, site_config] {
           site_status_[static_cast<size_t>(s)] =
               RunRemoteSite(network(), site_config).status();

@@ -41,6 +41,7 @@ ClusterSessionBase::ClusterSessionBase(Backend backend,
       options_(options),
       num_sites_(options.tracker.num_sites),
       layout_(std::make_shared<CounterLayout>(network)),
+      epsilons_(LayoutEpsilons(network, options.tracker)),
       health_board_(options.tracker.num_sites) {}
 
 MetricsSnapshot ClusterSessionBase::Metrics() const {
@@ -55,7 +56,7 @@ void ClusterSessionBase::StartCoordinator(
     Channel<UpdateBundle>* updates,
     std::vector<Channel<RoundAdvance>*> commands) {
   coordinator_ = std::make_unique<CoordinatorNode>(
-      LayoutEpsilons(network(), options_.tracker), layout_->total_counters(),
+      epsilons_, layout_->total_counters(),
       num_sites_, options_.tracker.probability_constant, updates,
       std::move(commands));
   coordinator_thread_ = std::thread([this] { coordinator_->Run(); });
@@ -168,7 +169,7 @@ class ThreadsSession final : public ClusterSessionBase {
           loopback ? site_events[static_cast<size_t>(s)] : site_endpoints.events;
       sites_.push_back(std::make_unique<SiteNode>(
           s, network, seeds.site_seeds[static_cast<size_t>(s)], events,
-          site_endpoints.commands, site_endpoints.updates));
+          site_endpoints.commands, site_endpoints.updates, exact_mode()));
     }
     for (int s = 0; s < k; ++s) {
       site_threads_.emplace_back(

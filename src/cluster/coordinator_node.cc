@@ -21,8 +21,14 @@ constexpr uint64_t kSyncBytes = kEstimatedSyncBytes;
 // second write of most of the update volume (~15% throughput on the Fig. 8
 // bench). Amortizing over a few batches keeps snapshots sub-millisecond
 // stale at full rate; the pre-block publish in Run keeps them EXACT
-// whenever the stream goes quiet.
+// whenever the stream goes quiet. A pop of per-event bundles carries at
+// most 64 events, but a pop of coalesced exact-mode bundles can carry
+// thousands, so a report bound caps the staleness too. It sits just above
+// the 37,888 reports that 8 full pops of per-event ALARM bundles carry:
+// per-event runs keep the pop cadence, and coalesced bundles publish about
+// every 550 ALARM events, as per-event ones do every 512.
 constexpr int kPublishEveryBatches = 8;
+constexpr size_t kPublishEveryReports = size_t{40} << 10;
 
 }  // namespace
 
@@ -105,10 +111,15 @@ void CoordinatorNode::ActivatePublication() {
 
 void CoordinatorNode::MaybePublish(bool force) {
   const int state = publish_state_.load(std::memory_order_acquire);
-  if (state == 0) return;  // Nobody has ever queried; keep the path free.
+  if (state == 0) {
+    // Nobody has ever queried; keep the path free.
+    batches_since_publish_ = 0;
+    reports_since_publish_ = 0;
+    return;
+  }
   if (!publish_tracking_) ActivatePublication();
-  if (state == 1 || force ||
-      ++batches_since_publish_ >= kPublishEveryBatches) {
+  if (state == 1 || force || batches_since_publish_ >= kPublishEveryBatches ||
+      reports_since_publish_ >= kPublishEveryReports) {
     // Forced publishes (about to block on an empty queue) must land: a
     // skipped one would leave the buffers stale for as long as the stream
     // stays quiet, breaking the quiet-stream-snapshots-are-exact promise.
@@ -119,6 +130,7 @@ void CoordinatorNode::MaybePublish(bool force) {
     if (PublishSnapshot(/*wait=*/force)) {
       publish_state_.store(2, std::memory_order_release);
       batches_since_publish_ = 0;
+      reports_since_publish_ = 0;
     }
   }
 }
@@ -255,7 +267,7 @@ void CoordinatorNode::MaybeAdvance(int64_t counter) {
   // Only sites that can still answer owe a sync; a cancelled (dead) site
   // would otherwise re-wedge outstanding_syncs_ forever.
   const int alive = num_sites_ - dead_sites_;
-  sync_pending_[c] = static_cast<uint8_t>(alive);
+  sync_pending_[c] = alive;
   outstanding_syncs_ += alive;
   comm_.broadcast_messages += static_cast<uint64_t>(alive);
   comm_.wire_messages += static_cast<uint64_t>(alive);
@@ -313,6 +325,7 @@ void CoordinatorNode::Run() {
             ++comm_.wire_messages;
             comm_.update_messages += bundle.reports.size();
             comm_.bytes_up += kUpdateBytes * bundle.reports.size();
+            reports_since_publish_ += bundle.reports.size();
             if (!site_ok) break;
             for (const CounterReport& report : bundle.reports) {
               if (report.counter < 0 || report.counter >= num_counters_) continue;
@@ -323,6 +336,7 @@ void CoordinatorNode::Run() {
             ++comm_.wire_messages;
             comm_.sync_messages += bundle.reports.size();
             comm_.bytes_up += kSyncBytes * bundle.reports.size();
+            reports_since_publish_ += bundle.reports.size();
             Trace(TraceEventType::kSyncMessage, bundle.site,
                   static_cast<int64_t>(bundle.reports.size()));
             if (!site_ok) break;
@@ -345,12 +359,16 @@ void CoordinatorNode::Run() {
             // Ignore defensively.
             break;
         }
+        if (reports_since_publish_ >= kPublishEveryReports) {
+          MaybePublish(/*force=*/false);
+        }
       }
       // Publishing happens under mu_ (it reads estimates_/comm_), but
       // steady-state snapshot readers synchronize on the BUFFER locks, so a
       // poller still never delays the next PopBatch. State 0 (nobody ever
       // queried) skips publication entirely; state 1 (first query just
       // arrived) publishes immediately and moves readers onto the buffers.
+      ++batches_since_publish_;
       MaybePublish(/*force=*/false);
       // Mirror the comm totals into the registry at batch granularity: a
       // handful of gauge stores per ≤64 bundles, invisible next to the

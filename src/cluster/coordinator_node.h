@@ -66,8 +66,9 @@ class CoordinatorNode {
   /// state Run() therefore NEVER blocks on snapshot readers, no matter how
   /// fast they poll (only the activating queries, before the first publish
   /// lands, are served from the live state under the protocol lock), and a
-  /// snapshot is consistent at bundle-batch granularity — at most a few
-  /// batches behind the live state while the stream is hot.
+  /// snapshot is consistent at bundle granularity — at most 8 pops or about
+  /// 40k reports (some 550 ALARM events) behind the live state while the
+  /// stream is hot, whichever bound comes first.
   void SnapshotState(std::vector<double>* estimates, CommStats* comm) const
       DSGM_EXCLUDES(mu_);
 
@@ -97,9 +98,10 @@ class CoordinatorNode {
   /// once (the catch-up publish is one full copy, like a single pre-PR5
   /// snapshot), after which publishes are incremental.
   void ActivatePublication() DSGM_REQUIRES(mu_);
-  /// The per-batch publish decision: no-op in state 0; immediate publish
-  /// on activation (state 1) or when `force` or the cadence counter says
-  /// so.
+  /// The publish decision, taken after every pop and whenever a bundle
+  /// takes the reports since the last publish past the cadence bound:
+  /// no-op in state 0; immediate publish on activation (state 1) or when
+  /// `force` or the cadence counters say so.
   void MaybePublish(bool force) DSGM_REQUIRES(mu_);
   /// Publishes the dirty cells + comm stats into the back buffer and flips
   /// the front index; returns whether it published. With `wait` false
@@ -131,8 +133,9 @@ class CoordinatorNode {
   std::vector<double> estimates_ DSGM_GUARDED_BY(mu_);
   std::vector<double> thresholds_ DSGM_GUARDED_BY(mu_);
   std::vector<uint8_t> rounds_ DSGM_GUARDED_BY(mu_);
-  // outstanding sync replies per counter
-  std::vector<uint8_t> sync_pending_ DSGM_GUARDED_BY(mu_);
+  // Outstanding sync replies per counter: up to one per live site, so as
+  // wide as num_sites_ (a byte wrapped to 0 at 256 sites and hung the run).
+  std::vector<int32_t> sync_pending_ DSGM_GUARDED_BY(mu_);
   std::vector<uint32_t> sync_counts_ DSGM_GUARDED_BY(mu_);   // [counter*k+site]
   std::vector<uint32_t> best_reports_ DSGM_GUARDED_BY(mu_);  // [counter*k+site]
   // [counter * k + site]: reply pending
@@ -166,9 +169,10 @@ class CoordinatorNode {
   std::vector<uint8_t> publish_dirty_ DSGM_GUARDED_BY(mu_);
   std::vector<int64_t> publish_pending_[2] DSGM_GUARDED_BY(mu_);
   /// Run-thread mirror of "publication is on" (avoids an atomic load per
-  /// report) plus the publish cadence counter.
+  /// report) plus the publish cadence counters.
   bool publish_tracking_ DSGM_GUARDED_BY(mu_) = false;
   int batches_since_publish_ DSGM_GUARDED_BY(mu_) = 0;
+  size_t reports_since_publish_ DSGM_GUARDED_BY(mu_) = 0;
 
   // The annotation pass flagged these three: they were written by Run()
   // outside any lock while ActiveSeconds() read them bare — benign for

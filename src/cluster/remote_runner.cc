@@ -143,7 +143,7 @@ StatusOr<RemoteSiteResult> RunRemoteSite(const BayesianNetwork& network,
   connection.Start();
 
   SiteNode site(config.site_id, network, config.seed, connection.events(),
-                connection.commands(), connection.updates());
+                connection.commands(), connection.updates(), config.exact_mode);
   // The sender samples the node's relaxed stats atomics; safe while Run()
   // is live, and the sender is stopped before `site` leaves scope. The
   // echo box is written by the connection's reader thread, which Shutdown()

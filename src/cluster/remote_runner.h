@@ -48,6 +48,11 @@ struct RemoteSiteConfig {
   /// coordinator's trace log already, and shipping would duplicate every
   /// event on the merged timeline.
   bool ship_traces = false;
+  /// The run is exact (no rounds), so the site bundles its reports per
+  /// EventBatch instead of per event (see SiteNode). Set only for kLocalTcp
+  /// in-process sites, whose session knows the mode; ServeSite leaves it
+  /// false, as the handshake does not announce the mode.
+  bool exact_mode = false;
 };
 
 struct RemoteSiteResult {

@@ -6,24 +6,27 @@ namespace dsgm {
 
 SiteNode::SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
                    Channel<EventBatch>* events, Channel<RoundAdvance>* commands,
-                   Channel<UpdateBundle>* to_coordinator)
+                   Channel<UpdateBundle>* to_coordinator, bool exact_mode)
     : site_id_(site_id),
       network_(&network),
       rng_(seed),
       events_(events),
       commands_(commands),
       to_coordinator_(to_coordinator),
+      exact_mode_(exact_mode),
       layout_(network) {
   local_counts_.assign(static_cast<size_t>(layout_.total_counters()), 0);
   probs_.assign(static_cast<size_t>(layout_.total_counters()), 1.0f);
   // Hot-path buffers sized once: an event reports at most two counters per
-  // variable, and DrainCommands pops at most kCommandPopBatch commands.
-  outbox_.reserve(2 * static_cast<size_t>(layout_.num_vars));
+  // variable (an exact-mode outbox is flushed after the event that takes it
+  // to kMaxBundleReports), and DrainCommands pops at most kCommandPopBatch
+  // commands.
+  const size_t per_event = 2 * static_cast<size_t>(layout_.num_vars);
+  outbox_.reserve(exact_mode_ ? kMaxBundleReports + per_event : per_event);
   command_buffer_.reserve(kCommandPopBatch);
 }
 
 void SiteNode::ProcessEvent(const int32_t* values) {
-  outbox_.clear();
   auto increment = [this](int64_t counter) {
     const uint32_t local = ++local_counts_[static_cast<size_t>(counter)];
     const float p = probs_[static_cast<size_t>(counter)];
@@ -37,14 +40,20 @@ void SiteNode::ProcessEvent(const int32_t* values) {
     increment(layout_.ParentId(i, row));
   }
   events_processed_.fetch_add(1, std::memory_order_relaxed);
-  if (!outbox_.empty()) {
-    UpdateBundle bundle;
-    bundle.kind = UpdateBundle::Kind::kReports;
-    bundle.site = site_id_;
-    bundle.reports = outbox_;
-    to_coordinator_->Push(std::move(bundle));
-    updates_sent_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (!exact_mode_ || outbox_.size() >= kMaxBundleReports) FlushReports();
+}
+
+void SiteNode::FlushReports() {
+  if (outbox_.empty()) return;
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kReports;
+  bundle.site = site_id_;
+  // A copy, not a move: the bundle gets an exactly sized buffer and
+  // outbox_ keeps its reserved one.
+  bundle.reports = outbox_;
+  updates_sent_.fetch_add(outbox_.size(), std::memory_order_relaxed);
+  outbox_.clear();
+  to_coordinator_->Push(std::move(bundle));
 }
 
 void SiteNode::DrainCommands(bool block_until_closed) {
@@ -102,6 +111,7 @@ void SiteNode::Run() {
         ProcessEvent(cursor);
         cursor += layout_.num_vars;
       }
+      FlushReports();  // Exact mode: the batch's remaining reports.
     }
     DrainCommands(/*block_until_closed=*/false);
   }

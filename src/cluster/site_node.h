@@ -19,6 +19,13 @@ namespace dsgm {
 /// counts for every counter, makes the Bernoulli reporting decisions, and
 /// answers round advances with exact sync replies.
 ///
+/// Reports leave in kReports bundles. By default every event that reports
+/// sends its own bundle: with rounds, a report's arrival time decides when
+/// the coordinator advances a counter, so reports must not wait. An exact
+/// run has no rounds, and `exact_mode` coalesces the reports of a whole
+/// EventBatch into one bundle, split every kMaxBundleReports reports. The
+/// counts and reports are the same either way; only their framing differs.
+///
 /// Counter ids use the MleTracker layout (joint counters first, then parent
 /// counters); the structural metadata needed to map an instance to counter
 /// ids is precomputed at construction.
@@ -35,7 +42,11 @@ class SiteNode {
  public:
   SiteNode(int site_id, const BayesianNetwork& network, uint64_t seed,
            Channel<EventBatch>* events, Channel<RoundAdvance>* commands,
-           Channel<UpdateBundle>* to_coordinator);
+           Channel<UpdateBundle>* to_coordinator, bool exact_mode = false);
+
+  /// Exact mode flushes a bundle once it holds this many reports (64 KiB),
+  /// bounding the bundle a long EventBatch can build.
+  static constexpr size_t kMaxBundleReports = 4096;
 
   /// Thread body: runs until the event queue closes and drains, then keeps
   /// serving round advances until the command queue closes.
@@ -69,6 +80,8 @@ class SiteNode {
   static constexpr size_t kCommandPopBatch = 256;
 
   void ProcessEvent(const int32_t* values);
+  /// Sends outbox_ as one kReports bundle (if it holds any) and empties it.
+  void FlushReports();
   void DrainCommands(bool block_until_closed);
 
   int site_id_;
@@ -77,6 +90,7 @@ class SiteNode {
   Channel<EventBatch>* events_;
   Channel<RoundAdvance>* commands_;
   Channel<UpdateBundle>* to_coordinator_;
+  const bool exact_mode_;
 
   // Structure metadata (the canonical MleTracker counter flattening).
   CounterLayout layout_;
@@ -90,7 +104,7 @@ class SiteNode {
 
   // Live stats: single writer (the Run() thread), any reader, relaxed.
   std::atomic<int64_t> events_processed_{0};
-  std::atomic<uint64_t> updates_sent_{0};
+  std::atomic<uint64_t> updates_sent_{0};  // CounterReports, not bundles.
   std::atomic<uint64_t> syncs_sent_{0};
   std::atomic<uint64_t> rounds_seen_{0};  // Highest round id answered.
 };

@@ -168,7 +168,9 @@ struct SiteHealth {
   /// the site's hello is accepted.
   double heartbeat_age_ms = -1.0;
   int64_t events_processed = 0;
+  /// Counter reports sent (not bundles, whose size depends on the mode).
   uint64_t updates_sent = 0;
+  /// Sync bundles sent, one per batch of round advances answered.
   uint64_t syncs_sent = 0;
   uint64_t rounds_seen = 0;
   /// kStatsReport frames received from this site.

@@ -31,8 +31,29 @@ inline Counter* ConsumerBlocks() {
 
 }  // namespace queue_internal
 
+/// Weight of one queued item against a queue's weight bound. A type whose
+/// items carry a payload of varying size overloads this in its own
+/// namespace (found by argument-dependent lookup); everything else weighs
+/// nothing and is bounded by item count alone.
+template <typename T>
+constexpr size_t QueueWeight(const T&) {
+  return 0;
+}
+
+/// Weight bound of BoundedQueue and FlowQueue. An UpdateBundle weighs its
+/// CounterReport count (net/wire.h), so this caps the reports a
+/// site->coordinator queue holds at 640Ki (10 MiB). Bundles of one event
+/// each (74 reports on ALARM in exact mode) still reach an 8192-item bound
+/// first; bundles coalesced over many events reach this one.
+constexpr size_t kQueueWeightCapacity = size_t{640} << 10;
+
 /// Multi-producer multi-consumer bounded FIFO with close semantics:
 /// after Close(), pushes fail and pops drain the remaining items then fail.
+///
+/// Two bounds apply: `capacity` items, and kQueueWeightCapacity total
+/// QueueWeight. The queue is full once either is reached; a push into a
+/// queue that is not full is accepted whatever its weight, so one item
+/// heavier than the bound still passes once the queue drains below it.
 template <typename T>
 class BoundedQueue {
  public:
@@ -45,34 +66,37 @@ class BoundedQueue {
   bool Push(T item) DSGM_EXCLUDES(mutex_) {
     {
       MutexLock lock(&mutex_);
-      if (!closed_ && items_.size() >= capacity_) {
+      if (!closed_ && FullLocked()) {
         queue_internal::ProducerBlocks()->Increment();
-        while (!closed_ && items_.size() >= capacity_) not_full_.Wait(&lock);
+        while (!closed_ && FullLocked()) not_full_.Wait(&lock);
       }
       if (closed_) return false;
+      weight_ += QueueWeight(item);
       items_.push_back(std::move(item));
     }
     not_empty_.NotifyOne();
     return true;
   }
 
-  /// Pushes a whole batch, chunking against the capacity bound: the queue
-  /// never grows past `capacity`, and a batch larger than the remaining
-  /// room waits for consumers between chunks. Items of one batch stay
-  /// contiguous and in order, but other producers may interleave between
-  /// chunks. Returns false iff closed (a close mid-batch drops the
-  /// unpushed remainder; already-pushed chunks stay poppable).
+  /// Pushes a whole batch, chunking against the bounds: the queue never
+  /// grows past `capacity` (nor past kQueueWeightCapacity by more than one
+  /// item), and a batch larger than the remaining room waits for consumers
+  /// between chunks. Items of one batch stay contiguous and in order, but
+  /// other producers may interleave between chunks. Returns false iff
+  /// closed (a close mid-batch drops the unpushed remainder; already-pushed
+  /// chunks stay poppable).
   bool PushBatch(std::vector<T>&& batch) DSGM_EXCLUDES(mutex_) {
     if (batch.empty()) return true;
     MutexLock lock(&mutex_);
     size_t pushed = 0;
     while (pushed < batch.size()) {
-      if (!closed_ && items_.size() >= capacity_) {
+      if (!closed_ && FullLocked()) {
         queue_internal::ProducerBlocks()->Increment();
-        while (!closed_ && items_.size() >= capacity_) not_full_.Wait(&lock);
+        while (!closed_ && FullLocked()) not_full_.Wait(&lock);
       }
       if (closed_) return false;
-      while (pushed < batch.size() && items_.size() < capacity_) {
+      while (pushed < batch.size() && !FullLocked()) {
+        weight_ += QueueWeight(batch[pushed]);
         items_.push_back(std::move(batch[pushed++]));
       }
       // One waiter per chunk suffices: with multiple consumers parked, the
@@ -141,11 +165,16 @@ class BoundedQueue {
     bool items_remain = false;
   };
 
+  bool FullLocked() const DSGM_REQUIRES(mutex_) {
+    return items_.size() >= capacity_ || weight_ >= kQueueWeightCapacity;
+  }
+
   Take TakeLocked(std::vector<T>* out, size_t max_items)
       DSGM_REQUIRES(mutex_) {
     Take take;
     take.count = std::min(max_items, items_.size());
     for (size_t i = 0; i < take.count; ++i) {
+      weight_ -= QueueWeight(items_.front());
       out->push_back(std::move(items_.front()));
       items_.pop_front();
     }
@@ -166,6 +195,7 @@ class BoundedQueue {
   CondVar not_full_;
   std::deque<T> items_ DSGM_GUARDED_BY(mutex_);
   size_t capacity_;
+  size_t weight_ DSGM_GUARDED_BY(mutex_) = 0;  // Sum of queued QueueWeight.
   bool closed_ DSGM_GUARDED_BY(mutex_) = false;
 };
 

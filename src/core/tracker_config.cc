@@ -49,7 +49,10 @@ Status TrackerConfig::Validate() const {
   if (epsilon <= 0.0 || epsilon >= 1.0) {
     return InvalidArgumentError("epsilon must be in (0, 1)");
   }
-  if (num_sites < 1) return InvalidArgumentError("num_sites must be >= 1");
+  if (num_sites < 1 || num_sites > kMaxSites) {
+    return InvalidArgumentError("num_sites must be in [1, " +
+                                std::to_string(kMaxSites) + "]");
+  }
   if (replicas < 1) return InvalidArgumentError("replicas must be >= 1");
   if (probability_constant <= 0.0) {
     return InvalidArgumentError("probability_constant must be positive");

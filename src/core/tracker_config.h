@@ -38,6 +38,12 @@ const char* ToString(CounterType type);
 /// "naive-bayes" (case insensitive).
 StatusOr<TrackingStrategy> TrackingStrategyFromName(const std::string& name);
 
+/// Largest accepted TrackerConfig::num_sites. The cluster backends run one
+/// thread (kThreads) or one connection (kLocalTcp) per site, and both the
+/// coordinator and the in-process counters keep state per (counter, site)
+/// pair, so the bound keeps a run's threads and memory within one host.
+constexpr int kMaxSites = 4096;
+
 /// Knobs of MleTracker. Defaults mirror the paper's evaluation setup
 /// (epsilon = 0.1, k = 30 sites).
 struct TrackerConfig {
@@ -46,7 +52,7 @@ struct TrackerConfig {
   CounterType counter_type = CounterType::kRandomized;
   /// Global approximation factor (Definition 2).
   double epsilon = 0.1;
-  /// Number of remote sites receiving stream events.
+  /// Number of remote sites receiving stream events, in [1, kMaxSites].
   int num_sites = 30;
   /// Seed for all randomized counter decisions.
   uint64_t seed = 7;

@@ -33,7 +33,9 @@ constexpr uint64_t kEstimatedSyncBytes = 4;
 /// Table III convention (EXACTMLE sends 2n of them per event). Broadcasts
 /// fan out to every site, so a round announcement adds k. `wire_messages`
 /// counts physically distinct transmissions after the paper's bundling
-/// optimization (all updates one event causes at one site travel together).
+/// optimization: the updates one event causes at one site travel together,
+/// and on the cluster backends an exact run's site sends one bundle per
+/// EventBatch of events (cluster/site_node.h).
 struct CommStats {
   uint64_t update_messages = 0;     // site -> coordinator counter updates
   uint64_t broadcast_messages = 0;  // coordinator -> site round announcements

@@ -45,6 +45,7 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
+#include "common/queue.h"
 #include "common/tracing.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -70,8 +71,9 @@ inline Counter* FlowQueueFullRejects() {
 /// A bounded MPMC queue shaped for an event loop producer: pushes never
 /// block (TryPush reports kFull) and the first pop that frees space after a
 /// failed push fires a registered callback — the loop uses it to resume
-/// reading a paused socket. Pop/close semantics match common/queue.h's
-/// BoundedQueue (PopBatch blocks until data or close, then drains).
+/// reading a paused socket. Pop/close semantics and the two bounds (items
+/// and total QueueWeight) match common/queue.h's BoundedQueue (PopBatch
+/// blocks until data or close, then drains).
 template <typename T>
 class FlowQueue {
  public:
@@ -91,11 +93,12 @@ class FlowQueue {
     {
       MutexLock lock(&mu_);
       if (closed_) return FlowPush::kClosed;
-      if (items_.size() >= capacity_) {
+      if (FullLocked()) {
         starving_ = true;
         FlowQueueFullRejects()->Increment();
         return FlowPush::kFull;
       }
+      weight_ += QueueWeight(item);
       items_.push_back(std::move(item));
     }
     not_empty_.NotifyOne();
@@ -156,14 +159,19 @@ class FlowQueue {
     bool fire = false;
   };
 
+  bool FullLocked() const DSGM_REQUIRES(mu_) {
+    return items_.size() >= capacity_ || weight_ >= kQueueWeightCapacity;
+  }
+
   Take TakeLocked(std::vector<T>* out, size_t max_items) DSGM_REQUIRES(mu_) {
     Take take;
     take.count = std::min(max_items, items_.size());
     for (size_t i = 0; i < take.count; ++i) {
+      weight_ -= QueueWeight(items_.front());
       out->push_back(std::move(items_.front()));
       items_.pop_front();
     }
-    take.fire = starving_ && take.count > 0 && items_.size() < capacity_;
+    take.fire = starving_ && take.count > 0 && !FullLocked();
     if (take.fire) starving_ = false;
     return take;
   }
@@ -177,6 +185,7 @@ class FlowQueue {
   CondVar not_empty_;
   std::deque<T> items_ DSGM_GUARDED_BY(mu_);
   size_t capacity_;
+  size_t weight_ DSGM_GUARDED_BY(mu_) = 0;  // Sum of queued QueueWeight.
   bool closed_ DSGM_GUARDED_BY(mu_) = false;
   bool starving_ DSGM_GUARDED_BY(mu_) = false;
   std::function<void()> space_cb_;

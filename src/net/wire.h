@@ -2,13 +2,16 @@
 //
 // The threaded cluster speaks the same counter protocol as the synchronous
 // simulation (monitor/round_schedule.h documents the rounds); these are the
-// concrete message frames. Site->coordinator traffic is bundled: all counter
-// updates caused by one event travel in one UpdateBundle, the optimization
-// described in the paper's Section VI-A.
+// concrete message frames. Site->coordinator traffic is bundled, the
+// optimization described in the paper's Section VI-A: with rounds
+// (approximate mode) a kReports bundle carries the reports of one event;
+// in exact mode, which has no rounds, it carries those of a whole
+// EventBatch, split every 4096 reports (cluster/site_node.h).
 
 #ifndef DSGM_NET_WIRE_H_
 #define DSGM_NET_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -26,7 +29,8 @@ struct CounterReport {
 /// Site -> coordinator frame.
 struct UpdateBundle {
   enum class Kind : uint8_t {
-    kReports,      // sampled counter reports of one event
+    kReports,      // sampled counter reports of one event (of many
+                   // events in exact mode; see the file comment)
     kSync,         // exact counts replying to a round advance
     kSiteDone,     // the site has processed its whole stream
     kFinalCounts,  // exact per-counter totals, sent after protocol shutdown
@@ -39,6 +43,13 @@ struct UpdateBundle {
   int32_t round = -1;
   std::vector<CounterReport> reports;
 };
+
+/// Site->coordinator queues bound the CounterReports they hold as well as
+/// the bundles (common/queue.h QueueWeight): one exact-mode bundle can
+/// carry thousands of reports.
+inline size_t QueueWeight(const UpdateBundle& bundle) {
+  return bundle.reports.size();
+}
 
 /// Coordinator -> site frame: counter `counter` enters `round` with
 /// reporting probability `probability`; the site must reply with a sync.

@@ -138,6 +138,35 @@ TEST(FlowQueueTest, PopBatchBlocksUntilPushOrClose) {
   EXPECT_TRUE(got.load());
 }
 
+UpdateBundle BundleOfReports(size_t reports) {
+  UpdateBundle bundle;
+  bundle.kind = UpdateBundle::Kind::kReports;
+  bundle.site = 0;
+  bundle.reports.assign(reports, CounterReport{0, 1});
+  return bundle;
+}
+
+TEST(FlowQueueTest, ReportCapReturnsFullAndResumesAfterPop) {
+  // Coalesced bundles carry thousands of reports each: the queue is full
+  // once its queued reports reach kQueueWeightCapacity, long before its
+  // item bound.
+  FlowQueue<UpdateBundle> queue(/*capacity=*/64);
+  std::atomic<int> fired{0};
+  queue.set_space_callback([&fired] { fired.fetch_add(1); });
+  ASSERT_EQ(queue.TryPush(BundleOfReports(kQueueWeightCapacity - 1)),
+            FlowPush::kOk);
+  // Below the bound, so accepted; it takes the queue to the bound.
+  ASSERT_EQ(queue.TryPush(BundleOfReports(1)), FlowPush::kOk);
+  UpdateBundle third = BundleOfReports(1);
+  ASSERT_EQ(queue.TryPush(std::move(third)), FlowPush::kFull);
+  EXPECT_EQ(third.reports.size(), 1u);  // Left intact for re-delivery.
+  EXPECT_EQ(queue.size(), 2u);
+  std::vector<UpdateBundle> out;
+  ASSERT_EQ(queue.TryPopBatch(&out, 1), 1u);
+  EXPECT_EQ(fired.load(), 1);  // One report left: room again.
+  EXPECT_EQ(queue.TryPush(std::move(third)), FlowPush::kOk);
+}
+
 // --- Reactor -------------------------------------------------------------
 
 TEST(ReactorTest, PostFromAnotherThreadRunsOnTheLoop) {

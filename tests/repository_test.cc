@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "bayes/io.h"
 #include "bayes/repository.h"
@@ -17,6 +18,10 @@ struct RepoCase {
   int edges;
   int64_t params;
 };
+
+// Prints the case by name: gtest's default byte dump would include the
+// `name` pointer, so the listed test names would change from run to run.
+void PrintTo(const RepoCase& c, std::ostream* os) { *os << c.name; }
 
 class RepositoryTableTest : public ::testing::TestWithParam<RepoCase> {};
 

@@ -232,6 +232,40 @@ TEST(SessionTest, BuilderValidatesConfiguration) {
     builder.WithBackend(Backend::kThreads).WithListenPort(7700);
     EXPECT_FALSE(builder.Build().ok());
   }
+  {
+    SessionBuilder builder(net);
+    builder.WithSites(kMaxSites + 1);
+    EXPECT_FALSE(builder.Build().ok());
+  }
+  for (Backend backend : {Backend::kThreads, Backend::kLocalTcp}) {
+    // The cluster backends implement one randomized counter instance; a
+    // config they would silently run differently is refused.
+    {
+      SessionBuilder builder = MakeBuilder(net, backend);
+      builder.WithCounterType(CounterType::kDeterministic);
+      const StatusOr<std::unique_ptr<Session>> built = builder.Build();
+      ASSERT_FALSE(built.ok()) << ToString(backend);
+      EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    }
+    {
+      TrackerConfig tracker = MakeBuilder(net, backend).options().tracker;
+      tracker.replicas = 3;
+      SessionBuilder builder = MakeBuilder(net, backend);
+      builder.WithTracker(tracker);
+      const StatusOr<std::unique_ptr<Session>> built = builder.Build();
+      ASSERT_FALSE(built.ok()) << ToString(backend);
+      EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  {
+    // The in-process tracker implements both.
+    TrackerConfig tracker = MakeBuilder(net, Backend::kInProcess).options().tracker;
+    tracker.counter_type = CounterType::kDeterministic;
+    tracker.replicas = 3;
+    SessionBuilder builder = MakeBuilder(net, Backend::kInProcess);
+    builder.WithTracker(tracker);
+    EXPECT_TRUE(builder.Build().ok());
+  }
 }
 
 TEST(SessionTest, PushValidatesInstances) {
